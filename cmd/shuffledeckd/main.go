@@ -548,28 +548,43 @@ var topics = []string{
 	"http api design",
 }
 
+// bootstrapChunk is how many pages Bootstrap indexes per
+// Corpus.AddBatch: each batch costs one search-index publication, so
+// the fill is linear in the corpus instead of paying a snapshot per page.
+const bootstrapChunk = 1024
+
 // Bootstrap fills the corpus with n synthetic pages: topics round-robin,
 // Zipf-shaped initial popularity for the established pages, and exactly
 // round(fresh·n) pages left at zero awareness, spread evenly over the id
-// range: page i is fresh when the rounded cumulative count
-// round(fresh·(i+1)) crosses an integer. Pages that already exist (a
-// recovered corpus resuming a crashed bootstrap) are skipped, so the
-// call is idempotent for a fixed n.
+// range (see bootstrapPage). Pages are added in id order, in batches of
+// bootstrapChunk. Pages that already exist (a recovered corpus resuming
+// a crashed bootstrap) are skipped, so the call is idempotent for a
+// fixed n.
 func Bootstrap(c *serve.Corpus, n int, fresh float64) error {
+	batch := make([]serve.PageAdd, 0, min(n, bootstrapChunk))
 	for i := 0; i < n; i++ {
-		if _, ok := c.Page(i); ok {
-			continue
+		if _, ok := c.Page(i); !ok {
+			text, pop := bootstrapPage(i, n, fresh)
+			batch = append(batch, serve.PageAdd{ID: i, Text: text, Popularity: pop})
 		}
-		topic := topics[i%len(topics)]
-		text := fmt.Sprintf("%s page%d", topic, i)
-		pop := 0.0
-		if math.Round(fresh*float64(i+1)) <= math.Round(fresh*float64(i)) {
-			// Zipf-shaped establishment: earlier pages are entrenched.
-			pop = float64(n) / float64(i+1)
-		}
-		if err := c.Add(i, text, pop); err != nil {
-			return err
+		if len(batch) == bootstrapChunk || i == n-1 {
+			if err := c.AddBatch(batch); err != nil {
+				return err
+			}
+			batch = batch[:0]
 		}
 	}
 	return nil
+}
+
+// bootstrapPage returns page i of an n-page bootstrap: its topic text and
+// initial popularity. Page i is fresh (popularity zero) when the rounded
+// cumulative count round(fresh·(i+1)) crosses an integer.
+func bootstrapPage(i, n int, fresh float64) (text string, pop float64) {
+	text = fmt.Sprintf("%s page%d", topics[i%len(topics)], i)
+	if math.Round(fresh*float64(i+1)) <= math.Round(fresh*float64(i)) {
+		// Zipf-shaped establishment: earlier pages are entrenched.
+		pop = float64(n) / float64(i+1)
+	}
+	return text, pop
 }

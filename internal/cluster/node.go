@@ -180,6 +180,7 @@ type Node struct {
 	guard  http.Handler
 
 	ln          net.Listener
+	replAddr    atomic.Pointer[string] // ln's address, published once Start binds it
 	shards      []*shardRepl
 	stop        chan struct{}
 	stopped     atomic.Bool
@@ -253,13 +254,14 @@ func (n *Node) Corpus() *serve.Corpus { return n.corpus }
 // stale-read guard in front of the rank endpoints.
 func (n *Node) Handler() http.Handler { return n.guard }
 
-// ReplAddr returns the replication listener's address (valid after
-// Start).
+// ReplAddr returns the replication listener's address ("" before
+// Start). Peers' replication loops call it concurrently with Start, so
+// the address is published atomically rather than read off n.ln.
 func (n *Node) ReplAddr() string {
-	if n.ln == nil {
-		return ""
+	if a := n.replAddr.Load(); a != nil {
+		return *a
 	}
-	return n.ln.Addr().String()
+	return ""
 }
 
 // Alive reports whether the node is still running (false after Kill or
@@ -276,6 +278,8 @@ func (n *Node) Start() error {
 		return fmt.Errorf("cluster: %w", err)
 	}
 	n.ln = ln
+	addr := ln.Addr().String()
+	n.replAddr.Store(&addr)
 	now := time.Now().UnixNano()
 	for si, sr := range n.shards {
 		leader, epoch := n.coord.Leader(si)

@@ -32,7 +32,9 @@ type Snapshot struct {
 const deltaFoldThreshold = 256
 
 // Epoch returns the snapshot's publication epoch. It increases by exactly
-// one per index mutation, so it keys caches of retrieval results.
+// one per published mutation — one per Add, AddBatch or Delete, however
+// many documents the batch carried — so it keys caches of retrieval
+// results.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
 // postings returns the term's posting list in this snapshot (zero-value

@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/searchidx"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
@@ -200,34 +199,26 @@ func (sh *shard) restoreSnapshot(snap *store.Snapshot) {
 	sh.appliedLSN.Store(snap.LSN)
 }
 
-// rebuildIndex re-indexes every recovered page in birth order, restores
-// the id→slot pairings, and advances the corpus birth sequence past the
-// highest slot any shard ever applied — removed pages included, so a
-// restarted process never reuses a tombstoned slot.
+// rebuildIndex re-indexes every recovered page in birth order as one
+// search-index batch, restores the id→slot pairings, and advances the
+// corpus birth sequence past the highest slot any shard ever applied —
+// removed pages included, so a restarted process never reuses a
+// tombstoned slot. Noting each recovered birth raises the strided
+// allocation counters too (legacy globally-sequential births included):
+// a future Add may never re-issue a slot that is already taken.
 func (c *Corpus) rebuildIndex() error {
-	type docRec struct {
-		id, birth int
-		text      string
-	}
-	var docs []docRec
+	var recs []AddRecord
 	for _, sh := range c.shards {
 		for id, seq := range sh.seqOf {
-			docs = append(docs, docRec{id: id, birth: seq, text: sh.texts[id]})
+			recs = append(recs, AddRecord{ID: id, Text: sh.texts[id], Birth: seq})
 		}
 		if sh.maxBirth > c.seq {
 			c.seq = sh.maxBirth
 		}
 	}
-	sort.Slice(docs, func(i, j int) bool { return docs[i].birth < docs[j].birth })
-	for _, d := range docs {
-		if err := c.idx.Add(searchidx.Document{ID: d.birth, Text: d.text}); err != nil {
-			return fmt.Errorf("serve: rebuilding index: %w", err)
-		}
-		c.byID.Store(d.id, int64(d.birth)<<1)
-		// Raise the strided allocation counters past every recovered
-		// birth (legacy globally-sequential births included): a future
-		// Add may never re-issue a slot that is already taken.
-		c.noteBirth(d.birth)
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Birth < recs[j].Birth })
+	if err := c.indexLocked(recs); err != nil {
+		return fmt.Errorf("serve: rebuilding index: %w", err)
 	}
 	return nil
 }

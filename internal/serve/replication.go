@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/searchidx"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
@@ -158,6 +157,11 @@ func (c *Corpus) ApplyReplicatedAsync(shard int, frames []ReplFrame) (func() err
 		// are maintenance here, not durability.
 		applied := sh.committedLSN.Load()
 		c.idxMu.Lock()
+		defer c.idxMu.Unlock()
+		// Consecutive adds index as one batch; a remove flushes the
+		// pending batch first, so adds and removes take effect in log
+		// order.
+		var adds []AddRecord
 		for i := range frames {
 			f := &frames[i]
 			if f.LSN > applied {
@@ -165,17 +169,12 @@ func (c *Corpus) ApplyReplicatedAsync(shard int, frames []ReplFrame) (func() err
 			}
 			switch f.rec.kind {
 			case recKindAdd:
-				a := f.rec.add
-				if v, ok := c.byID.Load(a.ID); ok && v.(int64)&1 == 0 {
-					continue // duplicate frame, already indexed
-				}
-				if ierr := c.idx.Add(searchidx.Document{ID: a.Birth, Text: a.Text}); ierr != nil {
-					c.idxMu.Unlock()
-					return fmt.Errorf("serve: indexing replicated page %d: %w", a.ID, ierr)
-				}
-				c.byID.Store(a.ID, int64(a.Birth)<<1)
-				c.noteBirth(a.Birth)
+				adds = append(adds, f.rec.add)
 			case recKindRemove:
+				if ierr := c.indexNewLocked(adds); ierr != nil {
+					return fmt.Errorf("serve: indexing replicated pages: %w", ierr)
+				}
+				adds = adds[:0]
 				if v, ok := c.byID.Load(f.rec.remove); ok && v.(int64)&1 == 0 {
 					c.idx.Delete(int(v.(int64) >> 1))
 					c.zidx.Delete(int(v.(int64) >> 1))
@@ -183,7 +182,9 @@ func (c *Corpus) ApplyReplicatedAsync(shard int, frames []ReplFrame) (func() err
 				}
 			}
 		}
-		c.idxMu.Unlock()
+		if ierr := c.indexNewLocked(adds); ierr != nil {
+			return fmt.Errorf("serve: indexing replicated pages: %w", ierr)
+		}
 		return err
 	}, nil
 }
@@ -208,19 +209,34 @@ func (c *Corpus) InstallReplicaSnapshot(shard int, snap *store.Snapshot) error {
 	if err := <-done; err != nil {
 		return err
 	}
+	recs := make([]AddRecord, len(snap.Pages))
+	for i, p := range snap.Pages {
+		recs[i] = AddRecord{ID: p.ID, Text: p.Text, Birth: p.Birth}
+	}
 	c.idxMu.Lock()
 	defer c.idxMu.Unlock()
-	for _, p := range snap.Pages {
-		if v, ok := c.byID.Load(p.ID); ok && v.(int64)&1 == 0 {
-			continue
-		}
-		if err := c.idx.Add(searchidx.Document{ID: p.Birth, Text: p.Text}); err != nil {
-			return fmt.Errorf("serve: indexing snapshot page %d: %w", p.ID, err)
-		}
-		c.byID.Store(p.ID, int64(p.Birth)<<1)
-		c.noteBirth(p.Birth)
+	if err := c.indexNewLocked(recs); err != nil {
+		return fmt.Errorf("serve: indexing snapshot pages: %w", err)
 	}
 	return nil
+}
+
+// indexNewLocked indexes, as one batch, the records whose page is not
+// live in the index yet, skipping repeats within recs: the duplicate
+// skip of the replicated paths, where a re-shipped frame or snapshot
+// page may already be indexed. It compacts recs in place. Caller holds
+// idxMu.
+func (c *Corpus) indexNewLocked(recs []AddRecord) error {
+	seen := make(map[int]struct{}, len(recs))
+	fresh := recs[:0]
+	for _, a := range recs {
+		if _, dup := seen[a.ID]; dup || c.indexed(a.ID) {
+			continue
+		}
+		seen[a.ID] = struct{}{}
+		fresh = append(fresh, a)
+	}
+	return c.indexLocked(fresh)
 }
 
 // noteBirth raises the birth allocation watermarks past an externally

@@ -784,45 +784,115 @@ func (c *Corpus) shardFor(id int) *shard {
 	return c.shards[int(uint(id)%uint(len(c.shards)))]
 }
 
-// Add indexes a document and enqueues it on its shard. A page with
-// popularity zero starts in the zero-awareness promotion pool; positive
-// popularity marks it already explored. The page becomes servable once
-// its shard applies the addition (Sync forces that).
+// PageAdd is one page of an AddBatch: the arguments of one Add call.
+type PageAdd struct {
+	ID         int
+	Text       string
+	Popularity float64
+}
+
+// Add indexes a document and enqueues it on its shard: AddBatch's
+// one-page case. A page with popularity zero starts in the
+// zero-awareness promotion pool; positive popularity marks it already
+// explored. The page becomes servable once its shard applies the
+// addition (Sync forces that).
+func (c *Corpus) Add(id int, text string, popularity float64) error {
+	return c.AddBatch([]PageAdd{{ID: id, Text: text, Popularity: popularity}})
+}
+
+// AddBatch indexes pages with one search-index publication and enqueues
+// each on its shard. Any invalid page — negative popularity, an id
+// already indexed or repeated in the batch, text with no indexable
+// terms — rejects the whole batch, which then changes nothing; a page
+// whose shard is a replication follower rejects it with ErrNotLeader.
 //
-// The search index keys the document by its birth sequence — the page's
-// dense stat slot — so query retrieval streams slot indexes directly;
-// byID records the pairing for the by-id read paths.
+// The search index keys each document by its birth sequence — the
+// page's dense stat slot — so query retrieval streams slot indexes
+// directly; byID records the pairing for the by-id read paths.
 //
 // Births are allocated per shard with stride Shards (shard si's k-th
-// page is born at k*Shards+si): deterministic from the shard's own add
-// order alone, so a replication follower applying the shard leader's
-// WAL records assigns the exact same dense slots, and leaders of
-// different shards on different nodes can never collide.
-func (c *Corpus) Add(id int, text string, popularity float64) error {
-	if popularity < 0 {
-		return fmt.Errorf("serve: negative popularity %v for page %d", popularity, id)
-	}
-	sh := c.shardFor(id)
-	if sh.notLeader.Load() {
-		return ErrNotLeader
+// page is born at k*Shards+si), in slice order: deterministic from the
+// shard's own add order alone, so a replication follower applying the
+// shard leader's WAL records assigns the exact same dense slots, and
+// leaders of different shards on different nodes can never collide.
+// Each page still travels to its shard as its own apply request, so
+// the shards apply and publish exactly as they would for one Add per
+// page — the batch changes the cost of indexing, not the serving state
+// or its draw sequences.
+func (c *Corpus) AddBatch(pages []PageAdd) error {
+	for _, p := range pages {
+		if p.Popularity < 0 {
+			return fmt.Errorf("serve: negative popularity %v for page %d", p.Popularity, p.ID)
+		}
+		if c.shardFor(p.ID).notLeader.Load() {
+			return ErrNotLeader
+		}
 	}
 	c.idxMu.Lock()
-	if v, ok := c.byID.Load(id); ok && v.(int64)&1 == 0 {
+	var seen map[int]struct{}
+	if len(pages) > 1 {
+		seen = make(map[int]struct{}, len(pages))
+	}
+	for _, p := range pages {
+		if c.indexed(p.ID) {
+			c.idxMu.Unlock()
+			return fmt.Errorf("serve: page %d already indexed", p.ID)
+		}
+		if seen == nil {
+			continue
+		}
+		if _, ok := seen[p.ID]; ok {
+			c.idxMu.Unlock()
+			return fmt.Errorf("serve: page %d repeated in batch", p.ID)
+		}
+		seen[p.ID] = struct{}{}
+	}
+	recs := make([]AddRecord, len(pages))
+	for i, p := range pages {
+		si := c.shardFor(p.ID).id
+		recs[i] = AddRecord{ID: p.ID, Text: p.Text, Popularity: p.Popularity, Birth: c.nextBirth[si]*len(c.shards) + si}
+		c.nextBirth[si]++
+	}
+	if err := c.indexLocked(recs); err != nil {
+		for _, p := range pages {
+			c.nextBirth[c.shardFor(p.ID).id]--
+		}
 		c.idxMu.Unlock()
-		return fmt.Errorf("serve: page %d already indexed", id)
+		if len(pages) == 1 {
+			return fmt.Errorf("serve: page %d: %w", pages[0].ID, err)
+		}
+		return fmt.Errorf("serve: page batch: %w", err)
 	}
-	birth := c.nextBirth[sh.id]*len(c.shards) + sh.id
-	if err := c.idx.Add(searchidx.Document{ID: birth, Text: text}); err != nil {
-		c.idxMu.Unlock()
-		return fmt.Errorf("serve: page %d: %w", id, err)
-	}
-	c.nextBirth[sh.id]++
-	if birth+1 > c.seq {
-		c.seq = birth + 1
-	}
-	c.byID.Store(id, int64(birth)<<1)
 	c.idxMu.Unlock()
-	sh.ch <- applyReq{add: []AddRecord{{ID: id, Text: text, Popularity: popularity, Birth: birth}}}
+	for i := range recs {
+		c.shardFor(recs[i].ID).ch <- applyReq{add: recs[i : i+1 : i+1]}
+	}
+	return nil
+}
+
+// indexed reports whether page id is live in the search index (indexed
+// and not removed).
+func (c *Corpus) indexed(id int) bool {
+	v, ok := c.byID.Load(id)
+	return ok && v.(int64)&1 == 0
+}
+
+// indexLocked indexes pages whose births are already assigned with one
+// search-index batch, then records each id→slot pairing and raises the
+// birth watermarks past it. An index error rejects the whole batch and
+// records nothing. Caller holds idxMu (or runs before serving starts).
+func (c *Corpus) indexLocked(recs []AddRecord) error {
+	docs := make([]searchidx.Document, len(recs))
+	for i, a := range recs {
+		docs[i] = searchidx.Document{ID: a.Birth, Text: a.Text}
+	}
+	if err := c.idx.AddBatch(docs); err != nil {
+		return err
+	}
+	for _, a := range recs {
+		c.byID.Store(a.ID, int64(a.Birth)<<1)
+		c.noteBirth(a.Birth)
+	}
 	return nil
 }
 

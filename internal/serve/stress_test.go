@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/policy"
 )
@@ -48,6 +52,9 @@ func TestConcurrentFeedbackConservesPopularity(t *testing.T) {
 	srv := httptest.NewServer(NewServer(c))
 	defer srv.Close()
 
+	// Eight writers share queues of eight: a refused batch (429) is
+	// resent after its Retry-After, see postFeedbackRetrying.
+	var refused atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -65,14 +72,13 @@ func TestConcurrentFeedbackConservesPopularity(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				resp, err := http.Post(srv.URL+"/feedback", "application/json", bytes.NewReader(body))
+				status, err := postFeedbackRetrying(srv.URL+"/feedback", body, &refused)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusAccepted {
-					t.Errorf("/feedback status %d", resp.StatusCode)
+				if status != http.StatusAccepted {
+					t.Errorf("/feedback status %d", status)
 					return
 				}
 			}
@@ -107,6 +113,7 @@ func TestConcurrentFeedbackConservesPopularity(t *testing.T) {
 	}
 	wg.Wait()
 	c.Sync()
+	t.Logf("%d feedback batches refused with 429 and resent", refused.Load())
 
 	after := c.Stats()
 	// Each of the `pages` columns receives writers/4 goroutines × rounds ×
@@ -185,6 +192,11 @@ func TestConcurrentRankAcrossArmsConservation(t *testing.T) {
 		}
 		return "treatment"
 	}
+	// Six writers share queues of eight, so admission control may refuse
+	// a batch with 429 + Retry-After. Nothing of a refused batch was
+	// enqueued, so the writers resend it after the advertised delay and
+	// conservation stays exact.
+	var refused atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -204,14 +216,13 @@ func TestConcurrentRankAcrossArmsConservation(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				resp, err := http.Post(srv.URL+"/feedback", "application/json", bytes.NewReader(body))
+				status, err := postFeedbackRetrying(srv.URL+"/feedback", body, &refused)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusAccepted {
-					t.Errorf("/feedback status %d", resp.StatusCode)
+				if status != http.StatusAccepted {
+					t.Errorf("/feedback status %d", status)
 					return
 				}
 			}
@@ -250,8 +261,12 @@ func TestConcurrentRankAcrossArmsConservation(t *testing.T) {
 	}
 	wg.Wait()
 	c.Sync()
+	t.Logf("%d feedback batches refused with 429 and resent", refused.Load())
 
 	after := c.Stats()
+	if got := after.FeedbackRejected - before.FeedbackRejected; got != uint64(refused.Load()) {
+		t.Fatalf("corpus counted %d refused batches, writers saw %d", got, refused.Load())
+	}
 	// writers/2 goroutines per parity × rounds × pages/2 clicks.
 	perArmClicks := uint64(writers / 2 * rounds * pages / 2)
 	if got := after.ClicksApplied - before.ClicksApplied; got != 2*perArmClicks {
@@ -279,6 +294,33 @@ func TestConcurrentRankAcrossArmsConservation(t *testing.T) {
 	}
 	if after.ZeroAware != 0 {
 		t.Fatalf("%d pages still zero-awareness", after.ZeroAware)
+	}
+}
+
+// postFeedbackRetrying posts a /feedback body and returns the final
+// status, resending after the advertised Retry-After while the service
+// refuses the batch with 429 (counted in refused) — the client side of
+// the admission contract: a 429 means nothing was enqueued.
+func postFeedbackRetrying(url string, body []byte, refused *atomic.Int64) (int, error) {
+	for attempt := 0; ; attempt++ {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return 0, err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			return resp.StatusCode, nil
+		}
+		refused.Add(1)
+		if attempt == 30 {
+			return 0, fmt.Errorf("/feedback still refused after %d attempts", attempt+1)
+		}
+		secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+		if err != nil {
+			return 0, fmt.Errorf("429 with Retry-After %q: %v", resp.Header.Get("Retry-After"), err)
+		}
+		time.Sleep(time.Duration(secs) * time.Second)
 	}
 }
 
